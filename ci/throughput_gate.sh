@@ -8,12 +8,11 @@
 #
 # Defaults compare a fresh BENCH_CI.json (produced in CI by the full
 # quick-scale `lb-experiments --jobs 1 --profile` suite — the same
-# binary, scale, and thread count as the committed record; the gate always
-# runs sim-threads=1 so the committed threads=1 record is the like-for-like
-# baseline) against the committed BENCH_PR10.json figure. The tolerance is
-# deliberately wide
-# (15 %) because CI machines vary; the gate exists to catch
-# order-of-magnitude scheduling regressions, not noise.
+# binary, scale and job count as the committed record, which is the
+# `--jobs 1` entry of BENCH_PR10.json, read first) against that figure.
+# The tolerance is deliberately wide (15 %) because CI machines vary; the
+# gate exists to catch order-of-magnitude scheduling regressions, not
+# noise.
 set -eu
 
 CURRENT=${1:-BENCH_CI.json}

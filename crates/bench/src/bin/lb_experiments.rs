@@ -1,8 +1,8 @@
 //! Command-line experiment harness.
 //!
 //! ```text
-//! lb-experiments [--scale quick|default|full] [--jobs N] [--sim-threads N]
-//!                [--verbose] [ids... | all]
+//! lb-experiments [--scale quick|default|full] [--jobs N] [--verbose]
+//!                [ids... | all]
 //! ```
 //!
 //! Execution is plan-then-render: every requested experiment first reports
@@ -26,7 +26,6 @@ fn main() {
     let mut jobs: Option<usize> = None;
     let mut profile = false;
     let mut profile_out = String::from("BENCH_PR10.json");
-    let mut sim_threads: Option<usize> = None;
     let mut trace_dir: Option<String> = None;
     let mut trace_mask = gpu_sim::trace::MASK_ALL;
     let mut partitions: Option<u32> = None;
@@ -50,16 +49,6 @@ fn main() {
                     Ok(n) if n >= 1 => Some(n),
                     _ => {
                         eprintln!("--jobs expects a positive integer, got '{v}'");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--sim-threads" => {
-                let v = args.next().unwrap_or_default();
-                sim_threads = match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => {
-                        eprintln!("--sim-threads expects a positive integer, got '{v}'");
                         std::process::exit(2);
                     }
                 };
@@ -108,16 +97,13 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: lb-experiments [--scale quick|default|full] [--jobs N] \
-                     [--sim-threads N] [--verbose] [--out FILE] [--csv-dir DIR] \
+                     [--verbose] [--out FILE] [--csv-dir DIR] \
                      [--profile] [--profile-out FILE] [--trace DIR] \
                      [--trace-events MASK] [--partitions N] [--no-desc-cache] \
                      [--no-burst] [--workload trace:PATH]... [ids... | all]\n  \
                      LB_JOBS=N overrides the default worker count (all cores); \
-                     --jobs beats LB_JOBS\n  --sim-threads N (or LB_SIM_THREADS=N) \
-                     budgets N intra-simulation threads for parallel SM spans; \
-                     the budget is split across --jobs workers (floor, min 1) \
-                     so the two knobs compose without oversubscription; output \
-                     is byte-identical at any value\n  --profile prints a \
+                     --jobs beats LB_JOBS; output is byte-identical at any \
+                     value\n  --profile prints a \
                      hot-path throughput report to stderr and writes \
                      BENCH_PR10.json\n  --trace DIR \
                      captures one .lbt event trace per simulation into DIR; \
@@ -179,23 +165,6 @@ fn main() {
     let env_jobs = std::env::var("LB_JOBS").ok().and_then(|v| v.parse::<usize>().ok());
     if let Some(n) = jobs.or(env_jobs) {
         runner.set_jobs(n);
-    }
-    // Intra-simulation threads: --sim-threads beats LB_SIM_THREADS. The
-    // value is a process-wide *budget*: when combined with --jobs it is
-    // split across the concurrent simulations so jobs x sim-threads never
-    // oversubscribes what was asked for. Output is byte-identical at any
-    // setting (the parallel span executor merges deterministically), so
-    // this knob never appears in run keys or rendered tables.
-    let env_sim_threads =
-        std::env::var("LB_SIM_THREADS").ok().and_then(|v| v.parse::<usize>().ok());
-    let sim_threads_budget = sim_threads.or(env_sim_threads);
-    if let Some(budget) = sim_threads_budget {
-        let eff = lb_bench::engine::split_sim_threads(budget, runner.jobs());
-        runner.set_sim_threads(eff as u32);
-        eprintln!(
-            "[config] sim-threads: budget {budget} across {} jobs -> {eff} threads/sim",
-            runner.jobs()
-        );
     }
     if let Some(dir) = &trace_dir {
         runner.set_trace(dir.into(), trace_mask).unwrap_or_else(|e| {
@@ -287,7 +256,7 @@ fn main() {
     if profile {
         let suite_wall_s = started.elapsed().as_secs_f64();
         let mut prof = runner.profile();
-        prof.record_workers(runner.jobs() as u64, runner.sim_threads() as u64);
+        prof.record_jobs(runner.jobs() as u64);
         eprint!("{}", prof.summary(suite_wall_s));
         let json = prof.to_json("lb-experiments", &scale.to_string(), suite_wall_s);
         std::fs::write(&profile_out, &json).expect("write profile json");

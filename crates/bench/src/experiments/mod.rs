@@ -155,22 +155,21 @@ mod tests {
 
     #[test]
     fn plan_covers_render_for_fig01_and_table2() {
-        let r = crate::shared_quick_runner();
         for id in ["fig01", "table2"] {
-            r.prefetch(&plan(id, r).unwrap());
+            let r = crate::private_quick_runner(&plan(id, crate::shared_quick_runner()).unwrap());
             let warm = r.sims_run();
-            let _ = run(id, r).unwrap();
+            let _ = run(id, &r).unwrap();
             assert_eq!(r.sims_run(), warm, "{id} simulated during rendering");
         }
     }
 
     #[test]
     fn fig05_followup_completes_the_plan() {
-        let r = crate::shared_quick_runner();
-        r.prefetch(&plan("fig05", r).unwrap());
-        r.prefetch(&followup("fig05", r).unwrap());
+        let shared = crate::shared_quick_runner();
+        let r = crate::private_quick_runner(&plan("fig05", shared).unwrap());
+        r.seed_from(shared, &followup("fig05", &r).unwrap());
         let warm = r.sims_run();
-        let _ = run("fig05", r).unwrap();
+        let _ = run("fig05", &r).unwrap();
         assert_eq!(r.sims_run(), warm, "fig05 simulated during rendering");
     }
 }

@@ -108,10 +108,9 @@ mod tests {
 
     #[test]
     fn plan_covers_render() {
-        let r = crate::shared_quick_runner();
-        r.prefetch(&runs(r));
+        let r = crate::private_quick_runner(&runs(crate::shared_quick_runner()));
         let warm = r.sims_run();
-        let t = run(r);
+        let t = run(&r);
         assert_eq!(r.sims_run(), warm, "partition sweep simulated during rendering");
         assert_eq!(t.rows.len(), APPS.len() * SWEEP.len());
     }

@@ -109,10 +109,9 @@ mod tests {
         assert!(keys.iter().all(|k| k.starts_with("trace:")));
         // Idempotent: a second scan returns the same leaked keys.
         assert_eq!(corpus_keys(), keys);
-        let r = crate::shared_quick_runner();
-        r.prefetch(&runs(r));
+        let r = crate::private_quick_runner(&runs(crate::shared_quick_runner()));
         let warm = r.sims_run();
-        let t = run(r);
+        let t = run(&r);
         assert_eq!(r.sims_run(), warm, "trace_replay simulated during rendering");
         assert_eq!(t.rows.len(), keys.len() * ARCHS.len());
     }

@@ -50,3 +50,15 @@ pub fn shared_quick_runner() -> &'static Runner {
     static RUNNER: OnceLock<Runner> = OnceLock::new();
     RUNNER.get_or_init(|| Runner::new(Scale::Quick))
 }
+
+/// Test support: a private quick-scale runner whose memo holds `keys`,
+/// with the results taken from [`shared_quick_runner`] (which simulates
+/// any it lacks). Its [`Runner::sims_run`] counts only its own
+/// simulations, so a check that rendering simulates nothing cannot be
+/// disturbed by other tests simulating on the shared runner meanwhile.
+#[cfg(test)]
+pub(crate) fn private_quick_runner(keys: &[RunKey]) -> Runner {
+    let r = Runner::new(Scale::Quick);
+    r.seed_from(shared_quick_runner(), keys);
+    r
+}

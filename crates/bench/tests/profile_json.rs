@@ -5,7 +5,7 @@
 
 use std::process::Command;
 
-use lb_bench::profile::validate_json;
+use lb_bench::profile::{validate_json, SCHEMA};
 
 /// Extracts `"key": <number>` from the flat profile JSON (the keys probed
 /// here are unique in the document).
@@ -31,7 +31,7 @@ fn sanity_profile_emits_valid_json() {
     let stdout = String::from_utf8(out.stdout).expect("stdout must be UTF-8");
     validate_json(&stdout).unwrap_or_else(|at| panic!("invalid JSON at byte {at}: {stdout}"));
 
-    assert!(stdout.contains("\"bench\": \"PR9\""), "document must identify the bench format");
+    assert_eq!(field(&stdout, "schema"), f64::from(SCHEMA), "document must name its schema");
     assert!(stdout.contains("\"scale\": \"sanity-quick\""));
     assert!(stdout.contains("\"component_sleep\""), "must carry per-component sleep stats");
     assert!(stdout.contains("\"skip_bounds\""), "must carry the skip-engagement breakdown");
@@ -39,6 +39,7 @@ fn sanity_profile_emits_valid_json() {
     assert!(stdout.contains("\"partitions\": [{\"id\": 0,"), "must carry per-partition stats");
     assert!(stdout.contains("\"desc_cache\""), "must carry the descriptor-cache block");
     assert!(stdout.contains("\"sm_phases\""), "must carry per-phase SM cycle attribution");
+    assert!(stdout.contains("\"workers\": {\"jobs\": 1}"), "sanity runs one sim at a time");
 }
 
 #[test]

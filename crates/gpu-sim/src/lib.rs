@@ -54,7 +54,6 @@ pub mod partition;
 pub mod pattern;
 pub mod phase_timer;
 pub mod policy;
-pub mod pool;
 pub mod regfile;
 pub mod replay;
 pub mod scheduler;

@@ -608,24 +608,6 @@ impl Sm {
     /// under that guarantee every local tick observes exactly the state the
     /// per-cycle loop would have shown it, so stats, policy callbacks and
     /// completion schedules are bit-identical.
-    ///
-    /// # Thread ownership (parallel spans)
-    ///
-    /// When `GpuConfig::sim_threads >= 2`, the GPU executes the due SMs'
-    /// spans concurrently, so this method may run on any pool thread. The
-    /// contract that makes that sound: a span touches *only* state owned
-    /// by this SM — its pipeline, warps, L1, MSHRs, register file, RNG,
-    /// stats, its policy instance (fresh per SM by the [`PolicyFactory`]
-    /// contract), and its own `outbox`/`emissions`/`outbox_pool` staging —
-    /// never the partitions, the calendar, another SM, or the shared CTA
-    /// counters. Everything shared is deferred to `Gpu::absorb_span`,
-    /// which the GPU runs serially in SM-id order at the rendezvous
-    /// barrier. A tracer would break this (one `Rc<RefCell>` writer shared
-    /// by all SMs), which is why traced runs never build a pool. Adding an
-    /// emit site or any other shared-state access inside the span path
-    /// means revisiting that gate.
-    ///
-    /// [`PolicyFactory`]: crate::policy::PolicyFactory
     pub fn tick_span(
         &mut self,
         cycle: Cycle,

@@ -175,21 +175,12 @@ pub struct ProfileEvents {
     /// LSU queue entries serviced on a locally simulated cycle (no global
     /// step was paid for them).
     pub sm_lsu_batched: u64,
-    /// Worker threads the parallel span executor ran with (1 = serial
-    /// path; the pool only engages at 2+).
-    pub par_threads: u64,
-    /// Parallel rounds executed (steps with ≥ 2 due SMs handed to the
-    /// pool). Deterministic for a fixed configuration and thread count.
-    pub par_rounds: u64,
-    /// SM spans executed inside parallel rounds. Deterministic.
-    pub par_spans: u64,
-    /// Spans a thread claimed from another thread's chunk. Reflects how
-    /// the work-stealing pool balanced real load, so the value (unlike
-    /// every simulated counter) is timing-dependent run to run.
+    /// Always zero. Kept so that consumers naming the field (e.g. digest
+    /// code that ignores host telemetry) still build; the simulator has no
+    /// intra-simulation worker threads to steal work between.
     pub par_steals: u64,
-    /// Nanoseconds the main thread spent blocked at the rendezvous
-    /// barrier after finishing its own share. Wall-clock telemetry,
-    /// timing-dependent run to run.
+    /// Always zero, for the same reason as [`ProfileEvents::par_steals`]:
+    /// there is no rendezvous barrier to wait at.
     pub par_barrier_wait_ns: u64,
 }
 
