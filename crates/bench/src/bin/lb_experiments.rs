@@ -2,8 +2,13 @@
 //!
 //! ```text
 //! lb-experiments [--scale quick|default|full] [--jobs N] [--verbose]
-//!                [ids... | all]
+//!                [--out FILE] [--csv-dir DIR] [shared flags] [ids... | all]
 //! ```
+//!
+//! The shared flags (`--profile`, `--trace`, `--partitions`, `--workload`,
+//! ...) are parsed by [`lb_bench::cli`], exactly as `sanity` parses them.
+//! `--profile` writes its JSON record to `--profile-out` (default
+//! `profile.json`).
 //!
 //! Execution is plan-then-render: every requested experiment first reports
 //! its simulation plan as typed run keys, the deduplicated union executes
@@ -13,8 +18,7 @@
 //! Rendering reads from the warm memo, so tables are byte-identical at any
 //! worker count.
 
-use std::io::Write;
-
+use lb_bench::cli::{self, fail, CommonArgs};
 use lb_bench::{experiments, Runner, Scale};
 
 fn main() {
@@ -24,100 +28,39 @@ fn main() {
     let mut out_path: Option<String> = None;
     let mut csv_dir: Option<String> = None;
     let mut jobs: Option<usize> = None;
-    let mut profile = false;
-    let mut profile_out = String::from("BENCH_PR10.json");
-    let mut trace_dir: Option<String> = None;
-    let mut trace_mask = gpu_sim::trace::MASK_ALL;
-    let mut partitions: Option<u32> = None;
-    let mut desc_cache = true;
-    let mut burst = true;
-    let mut workloads_specs: Vec<String> = Vec::new();
+    let mut common = CommonArgs::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        if common.take(&a, &mut args) {
+            continue;
+        }
         match a.as_str() {
             "--scale" => {
                 let v = args.next().unwrap_or_default();
-                scale = Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale '{v}' (quick|default|full)");
-                    std::process::exit(2);
-                });
+                scale = Scale::parse(&v)
+                    .unwrap_or_else(|| fail(format!("unknown scale '{v}' (quick|default|full)")));
             }
             "--jobs" | "-j" => {
                 let v = args.next().unwrap_or_default();
-                jobs = match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => {
-                        eprintln!("--jobs expects a positive integer, got '{v}'");
-                        std::process::exit(2);
-                    }
-                };
+                let n = v.parse::<usize>().ok().filter(|&n| n >= 1);
+                jobs = Some(n.unwrap_or_else(|| {
+                    fail(format!("--jobs expects a positive integer, got '{v}'"))
+                }));
             }
             "--verbose" => verbose = true,
             "--out" => out_path = args.next(),
             "--csv-dir" => csv_dir = args.next(),
-            "--profile" => profile = true,
-            "--profile-out" => {
-                profile_out = args.next().unwrap_or_else(|| {
-                    eprintln!("--profile-out expects a file path");
-                    std::process::exit(2);
-                });
-            }
-            "--trace" => {
-                trace_dir = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--trace expects a directory path");
-                    std::process::exit(2);
-                }));
-            }
-            "--trace-events" => {
-                let v = args.next().unwrap_or_default();
-                trace_mask = gpu_sim::trace::parse_mask(&v).unwrap_or_else(|e| {
-                    eprintln!("--trace-events: {e}");
-                    std::process::exit(2);
-                });
-            }
-            "--partitions" => {
-                let v = args.next().unwrap_or_default();
-                partitions = match v.parse::<u32>() {
-                    Ok(n) if n >= 1 && n.is_power_of_two() => Some(n),
-                    _ => {
-                        eprintln!("--partitions expects a power of two (1, 2, 4, ...), got '{v}'");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--no-desc-cache" => desc_cache = false,
-            "--no-burst" => burst = false,
-            "--workload" => {
-                workloads_specs.push(args.next().unwrap_or_else(|| {
-                    eprintln!("--workload expects trace:PATH");
-                    std::process::exit(2);
-                }));
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: lb-experiments [--scale quick|default|full] [--jobs N] \
-                     [--verbose] [--out FILE] [--csv-dir DIR] \
-                     [--profile] [--profile-out FILE] [--trace DIR] \
-                     [--trace-events MASK] [--partitions N] [--no-desc-cache] \
-                     [--no-burst] [--workload trace:PATH]... [ids... | all]\n  \
+                     [--verbose] [--out FILE] [--csv-dir DIR] {} [ids... | all]\n  \
                      LB_JOBS=N overrides the default worker count (all cores); \
                      --jobs beats LB_JOBS; output is byte-identical at any \
-                     value\n  --profile prints a \
-                     hot-path throughput report to stderr and writes \
-                     BENCH_PR10.json\n  --trace DIR \
-                     captures one .lbt event trace per simulation into DIR; \
-                     --trace-events narrows the captured kinds (names like \
-                     issue,l1,dram, a 0x hex mask, or 'all')\n  --partitions N \
-                     splits the memory subsystem into N L2-slice/DRAM-channel \
-                     pairs (power of two; default 1)\n  --no-desc-cache disables \
-                     the decoded access-descriptor cache (slower, byte-identical \
-                     output; a verification escape hatch)\n  --no-burst disables \
-                     greedy-run burst execution and SM local clocks (slower, \
-                     byte-identical output; a verification escape hatch)\n  \
-                     --workload trace:PATH loads a workload trace (.lbw1, or \
-                     .traceg to import) into the trace_replay experiment; \
-                     repeatable\n  ids: {}",
+                     value\n{}\n  --profile-out defaults to profile.json; \
+                     --workload traces feed the trace_replay experiment\n  ids: {}",
+                    cli::SYNOPSIS,
+                    cli::HELP,
                     experiments::ALL.join(" ")
                 );
                 return;
@@ -127,16 +70,12 @@ fn main() {
     }
     // Bare `--workload trace:PATH` runs just the trace study; otherwise an
     // empty id list (or an explicit `all`) expands to the default suite.
-    if ids.iter().any(|i| i == "all") || (ids.is_empty() && workloads_specs.is_empty()) {
+    if ids.iter().any(|i| i == "all") || (ids.is_empty() && common.workloads.is_empty()) {
         ids = experiments::ALL.iter().map(|s| s.to_string()).collect();
     }
     // Loaded traces register under `trace:<stem>` keys and surface through
     // the (opt-in) trace_replay experiment; pull it in if not requested.
-    for spec in &workloads_specs {
-        let (key, rep) = lb_replay::load_workload_spec(spec).unwrap_or_else(|e| {
-            eprintln!("--workload: {e}");
-            std::process::exit(2);
-        });
+    for (key, rep) in common.load_workloads() {
         eprintln!(
             "[workload] {key}: {} streams, {} dynamic insts",
             rep.total_streams(),
@@ -149,32 +88,22 @@ fn main() {
 
     let mut runner = Runner::new(scale);
     runner.verbose = verbose;
-    if let Some(n) = partitions {
+    if let Some(n) = common.partitions {
         runner.set_partitions(n);
         eprintln!("[config] memory subsystem split into {n} partitions");
-    }
-    if !desc_cache {
-        runner.set_desc_cache(false);
-        eprintln!("[config] descriptor cache disabled (verification mode)");
-    }
-    if !burst {
-        runner.set_burst(false);
-        eprintln!("[config] burst execution disabled (verification mode)");
     }
     // Precedence: --jobs flag, then LB_JOBS, then available parallelism.
     let env_jobs = std::env::var("LB_JOBS").ok().and_then(|v| v.parse::<usize>().ok());
     if let Some(n) = jobs.or(env_jobs) {
         runner.set_jobs(n);
     }
-    if let Some(dir) = &trace_dir {
-        runner.set_trace(dir.into(), trace_mask).unwrap_or_else(|e| {
-            eprintln!("--trace {dir}: {e}");
-            std::process::exit(2);
-        });
+    if let Some(spec) = common.trace_spec() {
         eprintln!(
-            "[trace] capturing to {dir}/ (events: {})",
-            gpu_sim::trace::mask_names(trace_mask)
+            "[trace] capturing to {}/ (events: {})",
+            spec.dir.display(),
+            gpu_sim::trace::mask_names(spec.mask)
         );
+        runner.set_trace(spec);
     }
 
     let started = std::time::Instant::now();
@@ -183,13 +112,8 @@ fn main() {
     // executed in parallel with single-flight semantics.
     let mut batch = Vec::new();
     for id in &ids {
-        match experiments::plan(id, &runner) {
-            Some(keys) => batch.extend(keys),
-            None => {
-                eprintln!("unknown experiment id '{id}'");
-                std::process::exit(2);
-            }
-        }
+        let keys = experiments::plan(id, &runner);
+        batch.extend(keys.unwrap_or_else(|| fail(format!("unknown experiment id '{id}'"))));
     }
     eprintln!(
         "[plan] {} experiments -> {} planned runs ({} workers)",
@@ -217,28 +141,22 @@ fn main() {
     let mut rendered = String::new();
     for id in &ids {
         let t0 = std::time::Instant::now();
-        match experiments::run(id, &runner) {
-            Some(t) => {
-                let s = t.render();
-                println!("{s}");
-                rendered.push_str(&s);
-                rendered.push('\n');
-                if let Some(dir) = &csv_dir {
-                    std::fs::create_dir_all(dir).expect("create csv dir");
-                    let path = format!("{dir}/{}.csv", t.id);
-                    std::fs::write(&path, t.render_csv()).expect("write csv");
-                }
-                eprintln!(
-                    "[{id}] done in {:.1}s ({} sims so far)",
-                    t0.elapsed().as_secs_f64(),
-                    runner.sims_run()
-                );
-            }
-            None => {
-                eprintln!("unknown experiment id '{id}'");
-                std::process::exit(2);
-            }
+        let t = experiments::run(id, &runner)
+            .unwrap_or_else(|| fail(format!("unknown experiment id '{id}'")));
+        let s = t.render();
+        println!("{s}");
+        rendered.push_str(&s);
+        rendered.push('\n');
+        if let Some(dir) = &csv_dir {
+            std::fs::create_dir_all(dir).expect("create csv dir");
+            let path = format!("{dir}/{}.csv", t.id);
+            std::fs::write(&path, t.render_csv()).expect("write csv");
         }
+        eprintln!(
+            "[{id}] done in {:.1}s ({} sims so far)",
+            t0.elapsed().as_secs_f64(),
+            runner.sims_run()
+        );
     }
     eprintln!(
         "all done: {} experiments, {} simulations, {} workers, {:.1}s, scale={}",
@@ -249,17 +167,17 @@ fn main() {
         scale
     );
     if let Some(p) = out_path {
-        let mut f = std::fs::File::create(&p).expect("create output file");
-        f.write_all(rendered.as_bytes()).expect("write output file");
+        std::fs::write(&p, &rendered).expect("write output file");
         eprintln!("wrote {p}");
     }
-    if profile {
+    if common.profile {
+        let profile_out = common.profile_out.as_deref().unwrap_or("profile.json");
         let suite_wall_s = started.elapsed().as_secs_f64();
         let mut prof = runner.profile();
         prof.record_jobs(runner.jobs() as u64);
         eprint!("{}", prof.summary(suite_wall_s));
         let json = prof.to_json("lb-experiments", &scale.to_string(), suite_wall_s);
-        std::fs::write(&profile_out, &json).expect("write profile json");
+        std::fs::write(profile_out, &json).expect("write profile json");
         eprintln!("[profile] wrote {profile_out}");
     }
     // No-op unless LB_PHASE_TIMERS=1 (diagnostics; see gpu_sim::phase_timer).

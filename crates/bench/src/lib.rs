@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod arch;
+pub mod cli;
 pub mod engine;
 pub mod experiments;
 pub mod profile;
@@ -39,7 +40,7 @@ pub use arch::Arch;
 pub use engine::Engine;
 pub use profile::Profile;
 pub use runkey::{ArchSpec, RunKey};
-pub use runner::Runner;
+pub use runner::{simulate, Runner, SimRun, Workload};
 pub use scale::Scale;
 pub use table::Table;
 

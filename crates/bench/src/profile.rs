@@ -268,6 +268,14 @@ impl Profile {
         self.jobs = jobs;
     }
 
+    /// Records one finished simulation (and its trace file, if any).
+    pub fn record_run(&mut self, key: String, run: &crate::runner::SimRun) {
+        self.record(key, run.wall_s, &run.stats);
+        if let Some((bytes, events)) = run.trace_io {
+            self.record_trace(bytes, events);
+        }
+    }
+
     /// Records one written trace file (size and event count).
     pub fn record_trace(&mut self, bytes: u64, events: u64) {
         self.trace_files += 1;

@@ -15,9 +15,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use gpu_sim::config::GpuConfig;
-use gpu_sim::gpu::{run_kernel, run_kernel_traced, run_replay_kernel, run_replay_kernel_traced};
+use gpu_sim::gpu::{run_kernel_traced, run_replay_kernel_traced};
+use gpu_sim::kernel::KernelSpec;
+use gpu_sim::policy::PolicyFactory;
+use gpu_sim::replay::ReplayKernel;
 use gpu_sim::stats::SimStats;
-use gpu_sim::trace::{TraceWriter, Tracer};
+use gpu_sim::trace::{TraceWriter, Tracer, FLAG_PART_IDS};
 use workloads::AppSpec;
 
 use crate::arch::Arch;
@@ -49,6 +52,64 @@ pub fn sanitize_key(key: &str) -> String {
     key.chars()
         .map(|c| if c.is_ascii_alphanumeric() || "+=.-".contains(c) { c } else { '_' })
         .collect()
+}
+
+/// The instruction source of one simulation.
+#[derive(Debug, Clone)]
+pub enum Workload<'a> {
+    /// A synthetic kernel: warps generate their addresses from patterns.
+    Kernel(KernelSpec),
+    /// A workload trace: warps replay their recorded streams.
+    Replay(&'a Arc<ReplayKernel>),
+}
+
+/// One finished simulation, as [`simulate`] returns it.
+#[derive(Debug)]
+pub struct SimRun {
+    /// The run's statistics.
+    pub stats: SimStats,
+    /// Wall-clock seconds, trace flush included.
+    pub wall_s: f64,
+    /// `(bytes, events)` of the written `.lbt` file, when traced.
+    pub trace_io: Option<(u64, u64)>,
+}
+
+/// Runs one simulation of `work` under `cfg` — the single simulation entry
+/// point of both harness binaries. With `trace = Some((spec, name))` it
+/// also writes `<spec.dir>/<sanitized name>.lbt`.
+///
+/// # Panics
+///
+/// Panics if the trace file cannot be created or flushed.
+pub fn simulate(
+    cfg: GpuConfig,
+    work: Workload<'_>,
+    factory: &PolicyFactory<'_>,
+    trace: Option<(&TraceSpec, &str)>,
+) -> SimRun {
+    let t0 = std::time::Instant::now();
+    let file = trace.map(|(spec, name)| {
+        // Partitioned runs carry per-record partition ids in the wire
+        // format; the flag bit sits outside `parse_mask`'s reach, so it is
+        // OR'd in here, never by the user.
+        let mask = if cfg.n_mem_partitions > 1 { spec.mask | FLAG_PART_IDS } else { spec.mask };
+        let path = spec.dir.join(format!("{}.lbt", sanitize_key(name)));
+        let writer = TraceWriter::to_file(&path, mask)
+            .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()));
+        (path, Tracer::new(writer))
+    });
+    let tracer = file.as_ref().map_or_else(Tracer::off, |(_, t)| t.clone());
+    let stats = match work {
+        Workload::Kernel(kernel) => run_kernel_traced(cfg, kernel, factory, tracer),
+        Workload::Replay(rep) => run_replay_kernel_traced(cfg, rep, factory, tracer),
+    };
+    let trace_io = file.map(|(path, tracer)| {
+        tracer
+            .finish()
+            .unwrap_or_else(|e| panic!("cannot flush trace file {}: {e}", path.display()));
+        (tracer.bytes(), tracer.events())
+    });
+    SimRun { stats, wall_s: t0.elapsed().as_secs_f64(), trace_io }
 }
 
 /// The memoized runner.
@@ -102,18 +163,11 @@ impl Runner {
     }
 
     /// Enables per-simulation event tracing: each distinct run key writes
-    /// `<dir>/<sanitized key>.lbt` with the given event mask. The directory
-    /// is created here; simulation behavior is unchanged (tracing is
+    /// `<spec.dir>/<sanitized key>.lbt` with the spec's event mask (the
+    /// directory must exist). Simulation behavior is unchanged (tracing is
     /// strictly observational).
-    pub fn set_trace(&mut self, dir: std::path::PathBuf, mask: u64) -> std::io::Result<()> {
-        std::fs::create_dir_all(&dir)?;
-        self.trace = Some(TraceSpec { dir, mask });
-        Ok(())
-    }
-
-    /// The active trace capture configuration, if any.
-    pub fn trace_spec(&self) -> Option<&TraceSpec> {
-        self.trace.as_ref()
+    pub fn set_trace(&mut self, spec: TraceSpec) {
+        self.trace = Some(spec);
     }
 
     /// Overrides the memory-partition count of the base configuration
@@ -121,20 +175,6 @@ impl Runner {
     /// via [`RunKey::with_partitions`] still take precedence.
     pub fn set_partitions(&mut self, n: u32) {
         self.cfg = self.cfg.clone().with_mem_partitions(n);
-    }
-
-    /// Enables or disables the decoded access-descriptor cache (the
-    /// `--no-desc-cache` escape hatch of the harness binaries). Output is
-    /// byte-identical either way; the cache is purely a speed optimization.
-    pub fn set_desc_cache(&mut self, on: bool) {
-        self.cfg = self.cfg.clone().with_desc_cache(on);
-    }
-
-    /// Enables or disables greedy-run burst execution and SM local clocks
-    /// (the `--no-burst` escape hatch of the harness binaries). Output is
-    /// byte-identical either way; bursting is purely a speed optimization.
-    pub fn set_burst(&mut self, on: bool) {
-        self.cfg = self.cfg.clone().with_burst(on);
     }
 
     /// The scale in use.
@@ -215,58 +255,23 @@ impl Runner {
         // Trace-driven workloads (`trace:<name>` keys) resolve through the
         // runtime registry; everything else through the synthetic app table.
         let replay = workloads::traces::get(key.app);
-        let (cfg, kernel) = match &replay {
-            Some(rep) => (key.spec().config_for_kernel(&self.cfg, &rep.stub), None),
+        let (cfg, work) = match &replay {
+            Some(rep) => {
+                (key.spec().config_for_kernel(&self.cfg, &rep.stub), Workload::Replay(rep))
+            }
             None => {
                 let app = workloads::app(key.app)
                     .unwrap_or_else(|| panic!("unknown app in run key: {key}"));
                 let cfg = key.spec().config(&self.cfg, &app);
                 let kernel = app.kernel(cfg.n_sms);
-                (cfg, Some(kernel))
+                (cfg, Workload::Kernel(kernel))
             }
         };
-        let t0 = std::time::Instant::now();
-        let mut trace_io = None;
-        let stats = match &self.trace {
-            None => match &replay {
-                Some(rep) => run_replay_kernel(cfg, rep, &key.arch.factory()),
-                None => run_kernel(cfg, kernel.unwrap(), &key.arch.factory()),
-            },
-            Some(spec) => {
-                // Partitioned runs carry per-record partition ids in the
-                // wire format; the flag bit sits outside `parse_mask`'s
-                // reach, so it is OR'd in here, never by the user.
-                let mask = if cfg.n_mem_partitions > 1 {
-                    spec.mask | gpu_sim::trace::FLAG_PART_IDS
-                } else {
-                    spec.mask
-                };
-                let path = spec.dir.join(format!("{}.lbt", sanitize_key(&key.to_string())));
-                let writer = TraceWriter::to_file(&path, mask)
-                    .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()));
-                let tracer = Tracer::new(writer);
-                let stats = match &replay {
-                    Some(rep) => {
-                        run_replay_kernel_traced(cfg, rep, &key.arch.factory(), tracer.clone())
-                    }
-                    None => {
-                        run_kernel_traced(cfg, kernel.unwrap(), &key.arch.factory(), tracer.clone())
-                    }
-                };
-                tracer
-                    .finish()
-                    .unwrap_or_else(|e| panic!("cannot flush trace file {}: {e}", path.display()));
-                trace_io = Some((tracer.bytes(), tracer.events()));
-                stats
-            }
-        };
-        let mut prof = self.profile.lock().unwrap();
-        prof.record(key.to_string(), t0.elapsed().as_secs_f64(), &stats);
-        if let Some((bytes, events)) = trace_io {
-            prof.record_trace(bytes, events);
-        }
-        drop(prof);
-        stats
+        let name = key.to_string();
+        let run =
+            simulate(cfg, work, &key.arch.factory(), self.trace.as_ref().map(|t| (t, &*name)));
+        self.profile.lock().unwrap().record_run(name, &run);
+        run.stats
     }
 
     /// Snapshot of the hot-path profile accumulated so far.

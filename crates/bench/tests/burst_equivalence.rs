@@ -1,7 +1,7 @@
 //! Burst execution must be invisible: with greedy-run bursting and SM
 //! local clocks enabled (the default) every *architectural* statistic —
 //! instruction counts, cache outcomes, per-load maps, timelines, energy —
-//! must be bit-identical to the lockstep per-cycle engine (`--no-burst`).
+//! must be bit-identical to the lockstep per-cycle engine (`with_burst(false)`).
 //!
 //! Only engine-observability counters are allowed to differ: how many
 //! cycles the global loop stepped vs. skipped, per-component stepped/slept
@@ -72,7 +72,7 @@ fn digest(stats: &SimStats) -> String {
     e.skip_to_icnt = 0;
     e.skip_to_window = 0;
     e.skip_to_max = 0;
-    // Burst counters are the feature's own telemetry: zero with --no-burst.
+    // Burst counters are the feature's own telemetry: zero in lockstep.
     e.sm_bursts = 0;
     e.sm_burst_cycles = 0;
     e.sm_burst_len_1 = 0;

@@ -136,8 +136,8 @@ fn identical_runs_produce_identical_traces() {
 /// re-pinned here: a divergence is a replay bug, not a new golden.
 #[test]
 fn desc_cache_off_traces_match_pinned_goldens() {
-    let uncached =
-        GpuConfig::default().with_sms(2).with_windows(2_500, 30_000).with_desc_cache(false);
+    let mut uncached = GpuConfig::default().with_sms(2).with_windows(2_500, 30_000);
+    uncached.desc_cache_max_entries = 0;
     let cases = [
         ("baseline.lbt", baseline_factory()),
         ("pcal.lbt", pcal_factory()),
@@ -154,7 +154,7 @@ fn desc_cache_off_traces_match_pinned_goldens() {
                 assert!(events > 0, "golden trace {name} is empty");
             }
             other => panic!(
-                "--no-desc-cache run diverged from pinned {name}: the descriptor \
+                "uncached run diverged from pinned {name}: the descriptor \
                  replay path is not exact.\n{other}"
             ),
         }

@@ -91,17 +91,14 @@ pub struct GpuConfig {
     /// Enable expensive per-load working-set/streaming statistics
     /// (needed for reproducing Figures 2 and 3 only).
     pub detailed_load_stats: bool,
-    /// Enable the per-SM decoded access-descriptor cache: the first
-    /// execution of a (warp slot, static load) pair decodes the pattern's
-    /// per-warp constants into a [`crate::pattern::LineDesc`] and later
-    /// executions replay it, skipping address generation and coalescing.
-    /// Replay is exact, so this is a pure speed knob — simulated results
-    /// are byte-identical either way (`--no-desc-cache` is the escape
-    /// hatch that proves it).
-    pub desc_cache: bool,
-    /// Hard cap on descriptor-table entries per SM
-    /// (`warp slots x static loads`); a kernel exceeding it simply runs
-    /// uncached, which cannot change simulated results.
+    /// Hard cap on the per-SM decoded access-descriptor table
+    /// (`warp slots x static loads` entries). The first execution of a
+    /// (warp slot, static load) pair decodes the pattern's per-warp
+    /// constants into a [`crate::pattern::LineDesc`] and later executions
+    /// replay it, skipping address generation and coalescing. Replay is
+    /// exact, so a kernel exceeding the cap simply runs uncached with
+    /// byte-identical results; 0 turns the table off, which is the
+    /// uncached reference the equivalence tests compare against.
     pub desc_cache_max_entries: u32,
     /// Enable greedy-run burst execution and decoupled SM local clocks:
     /// between interactions with the memory side, an SM simulates several
@@ -109,10 +106,10 @@ pub struct GpuConfig {
     /// possible inbound delivery and the window edge, plus multi-cycle
     /// greedy ALU runs issued in one scan). Every burst is provably
     /// equivalent to cycle-lockstep stepping, so this is a pure simulator
-    /// speed knob — simulated results are byte-identical either way
-    /// (`--no-burst` is the escape hatch that proves it). Automatically
-    /// suspended while an event tracer is attached (the trace wire format
-    /// requires globally monotone cycle stamps).
+    /// speed knob — simulated results are byte-identical either way (the
+    /// lockstep engine is the reference `burst_equivalence` tests compare
+    /// against). Automatically suspended while an event tracer is attached
+    /// (the trace wire format requires globally monotone cycle stamps).
     pub burst: bool,
     /// Energy model parameters.
     pub energy: crate::energy::EnergyConfig,
@@ -144,7 +141,6 @@ impl Default for GpuConfig {
             window_cycles: 50_000,
             max_cycles: 400_000,
             detailed_load_stats: false,
-            desc_cache: true,
             desc_cache_max_entries: 64 * 1024,
             burst: true,
             energy: crate::energy::EnergyConfig::default(),
@@ -216,17 +212,9 @@ impl GpuConfig {
         self
     }
 
-    /// Returns a copy with the decoded access-descriptor cache enabled or
-    /// disabled (the `--no-desc-cache` escape hatch). Purely a simulator
-    /// speed knob: simulated results are identical either way.
-    pub fn with_desc_cache(mut self, enabled: bool) -> Self {
-        self.desc_cache = enabled;
-        self
-    }
-
     /// Returns a copy with greedy-run burst execution enabled or disabled
-    /// (the `--no-burst` escape hatch). Purely a simulator speed knob:
-    /// simulated results are identical either way.
+    /// (disabled is the lockstep reference engine). Purely a simulator
+    /// speed knob: simulated results are identical either way.
     pub fn with_burst(mut self, enabled: bool) -> Self {
         self.burst = enabled;
         self
@@ -368,7 +356,6 @@ mod tests {
         assert_eq!(c.dram.t_ras, 28);
         // Simulator-engineering knobs (not Table 1): descriptor cache on by
         // default, sized far above any real kernel's slot x load product.
-        assert!(c.desc_cache);
         assert_eq!(c.desc_cache_max_entries, 64 * 1024);
         assert!(c.burst);
     }
@@ -377,13 +364,6 @@ mod tests {
     fn burst_escape_hatch() {
         assert!(!GpuConfig::default().with_burst(false).burst);
         assert!(GpuConfig::default().with_burst(true).burst);
-    }
-
-    #[test]
-    fn desc_cache_escape_hatch() {
-        let c = GpuConfig::default().with_desc_cache(false);
-        assert!(!c.desc_cache);
-        assert!(GpuConfig::default().with_desc_cache(true).desc_cache);
     }
 
     #[test]

@@ -903,16 +903,7 @@ pub fn capture_kernel(
     factory: &PolicyFactory<'_>,
 ) -> Result<(SimStats, ReplayKernel), CaptureError> {
     let stub = kernel.clone();
-    let mut gpu = Gpu::new_inner(cfg, kernel, None, true, factory, Tracer::off());
-    let stats = gpu.run();
-    if !stats.completed {
-        return Err(CaptureError::Incomplete { cycles: stats.cycles });
-    }
-    let streams = gpu.take_capture();
-    if let Some(i) = streams.iter().position(|s| s.ops.is_empty()) {
-        return Err(CaptureError::EmptyStream { stream: i });
-    }
-    Ok((stats, ReplayKernel { stub, streams }))
+    run_capture(Gpu::new_inner(cfg, kernel, None, true, factory, Tracer::off()), stub)
 }
 
 /// Replays `rep` while re-capturing the executed streams. A faithful replay
@@ -924,8 +915,14 @@ pub fn run_replay_capture(
     rep: &Arc<ReplayKernel>,
     factory: &PolicyFactory<'_>,
 ) -> Result<(SimStats, ReplayKernel), CaptureError> {
-    let mut gpu =
+    let gpu =
         Gpu::new_inner(cfg, rep.stub.clone(), Some(Arc::clone(rep)), true, factory, Tracer::off());
+    run_capture(gpu, rep.stub.clone())
+}
+
+/// Runs a capture-armed `gpu` and packages its recorded streams under
+/// `stub` — the one capture tail for synthetic and replayed sources.
+fn run_capture(mut gpu: Gpu, stub: KernelSpec) -> Result<(SimStats, ReplayKernel), CaptureError> {
     let stats = gpu.run();
     if !stats.completed {
         return Err(CaptureError::Incomplete { cycles: stats.cycles });
@@ -934,7 +931,7 @@ pub fn run_replay_capture(
     if let Some(i) = streams.iter().position(|s| s.ops.is_empty()) {
         return Err(CaptureError::EmptyStream { stream: i });
     }
-    Ok((stats, ReplayKernel { stub: rep.stub.clone(), streams }))
+    Ok((stats, ReplayKernel { stub, streams }))
 }
 
 #[cfg(test)]

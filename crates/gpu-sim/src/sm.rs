@@ -199,7 +199,8 @@ pub struct Sm {
     /// descriptors must never survive a relaunch).
     desc_table: Vec<Option<LineDesc>>,
     /// Loads per warp slot in `desc_table`; 0 while the cache is disabled
-    /// (`--no-desc-cache`, a load-free kernel, or the sizing cap).
+    /// (replay, a load-free kernel, or the sizing cap — a cap of 0 is the
+    /// uncached reference).
     desc_stride: usize,
     /// Precomputed operand rotation per body position:
     /// `(pos * 3) % regs_per_warp`. The issue stage reads it once per
@@ -435,7 +436,6 @@ impl Sm {
             // the stream's interned line pool already plays the descriptor
             // role), so the table would only cost memory and stats noise.
             if self.replay.is_none()
-                && cfg.desc_cache
                 && entries > 0
                 && entries <= cfg.desc_cache_max_entries as usize
             {
@@ -475,9 +475,8 @@ impl Sm {
         let seq = self.launch_seq;
         self.launch_seq += 1;
         // Trace frontend: the k-th dispatched CTA (grid-wide) executes
-        // streams `k * warps_per_cta + lane`. The Arc clone keeps the borrow
-        // checker off the slab while launching (CTA launches are rare).
-        let rep = self.replay.clone();
+        // streams `k * warps_per_cta + lane` (capture records into the same
+        // ids; synthetic runs never read them).
         let stream_base = self.next_cta_ordinal * kernel.warps_per_cta as u64;
         let mut warp_ids = Vec::with_capacity(warps_per_cta as usize);
         for i in 0..warps_per_cta {
@@ -489,35 +488,20 @@ impl Sm {
             // it per instruction.
             let op_base =
                 first_reg.0 + (wid % kernel.warps_per_cta.max(1)) * kernel.regs_per_warp();
-            match &rep {
-                Some(rep) => {
-                    let sid = stream_base + i as u64;
-                    let first =
-                        WarpSlab::inst_meta_at(kernel, rep.streams[sid as usize].ops[0].pos);
-                    self.warps.launch_trace(
-                        wid as usize,
-                        CtaId(slot),
-                        gw,
-                        seq * 1000 + i as u64,
-                        op_base,
-                        first,
-                    );
-                    self.warps.set_stream(wid as usize, sid as u32);
-                }
-                None => {
-                    self.warps.launch(
-                        wid as usize,
-                        CtaId(slot),
-                        gw,
-                        seq * 1000 + i as u64,
-                        op_base,
-                        kernel,
-                    );
-                    if self.capture.is_some() {
-                        self.warps.set_stream(wid as usize, (stream_base + i as u64) as u32);
-                    }
-                }
-            }
+            let stream = (stream_base + i as u64) as u32;
+            let first_pos = match &self.replay {
+                Some(rep) => rep.streams[stream as usize].ops[0].pos,
+                None => 0,
+            };
+            self.warps.launch(
+                wid as usize,
+                CtaId(slot),
+                gw,
+                seq * 1000 + i as u64,
+                op_base,
+                stream,
+                WarpSlab::inst_meta(kernel, first_pos),
+            );
             // Slot reuse changes the global warp number: stale descriptors
             // of the previous tenant must never replay.
             if self.desc_stride != 0 {
@@ -952,7 +936,7 @@ impl Sm {
         // timer wheel as it passes them; entries it never reaches stay
         // listed for the next walk. Store credits are re-checked live per
         // scheduler (an earlier scheduler's issue can consume the last
-        // credit), and `can_issue`/CTA eligibility of one warp cannot be
+        // credit), and the issue eligibility of one warp cannot be
         // changed by another warp's same-cycle execution, so evaluating
         // lazily is equivalent to the former full pre-scan.
         for s in 0..self.schedulers.len() {
@@ -1170,9 +1154,10 @@ impl Sm {
     /// CTA table and the kernel body. A warp blocked on a dependency or
     /// the outstanding-load cap is `Blocked` regardless of its latency
     /// timer (a load completion wakes it); a warp blocked *only* on its
-    /// timer is `Time*`-parked. This is exactly the split the former
-    /// double `can_issue` probe (now, then again at `next_ready`)
-    /// computed.
+    /// timer is `Time*`-parked. This is the only issue-eligibility
+    /// predicate: it reads the meta word, never the kernel body, so it is
+    /// the same for synthetic warps and replayed ones (whose `body_pos` is
+    /// a stream cursor).
     #[inline]
     fn classify(&self, wi: usize, cycle: Cycle, cfg: &GpuConfig, lsu_full: bool) -> WarpClass {
         phase_timer::bump(phase_timer::CLASSIFY_CALLS);
@@ -1251,17 +1236,21 @@ impl Sm {
         next
     }
 
+    /// Executes the current instruction of warp `wid`: the one timing path
+    /// for synthetic and replayed warps. The two instruction sources differ
+    /// only in three steps — [`Sm::inst_pos`] (static body position),
+    /// [`Sm::fetch_lines`] (a memory op's coalesced lines) and
+    /// [`Sm::advance_warp`] (next instruction or retirement) — so operand
+    /// traffic, scoreboard, the LSU/L1 path, store write-through and every
+    /// policy hook see both sources identically.
     fn execute_inst(&mut self, wid: WarpId, cycle: Cycle, kernel: &KernelSpec, cfg: &GpuConfig) {
-        if self.replay.is_some() {
-            return self.execute_trace_inst(wid, cycle, kernel, cfg);
-        }
         let slot = wid.0 as usize;
-        let body_pos = self.warps.body_pos(slot);
-        let inst = &kernel.body[body_pos as usize];
+        let pos = self.inst_pos(slot);
+        let inst = &kernel.body[pos as usize];
         self.stats.instructions += 1;
         self.tracer.emit(
             cycle,
-            TraceEvent::Issue { sm: self.id.0 as u64, warp: wid.0 as u64, pos: body_pos as u64 },
+            TraceEvent::Issue { sm: self.id.0 as u64, warp: wid.0 as u64, pos: pos as u64 },
         );
 
         // Operand traffic: two reads and one write on the warp's registers,
@@ -1270,21 +1259,19 @@ impl Sm {
         let extra_delay = self.regfile.access_operands(
             self.warps.op_base(slot),
             kernel.regs_per_warp().max(1),
-            self.rot3[body_pos as usize],
+            self.rot3[pos as usize],
             cycle,
         );
 
         match inst.kind {
             InstKind::Alu { latency } => {
-                self.capture_op(slot, body_pos, false);
+                self.capture_op(slot, pos, false);
                 self.warps.set_next_ready(slot, cycle + latency.max(1) as u64 + extra_delay as u64);
             }
             InstKind::Load { load } => {
-                let idx = self.warps.next_access_index(slot, load);
-                self.gen_access_lines(slot, load, idx, kernel);
-                self.capture_op(slot, body_pos, true);
-                let n = self.line_buf.len() as u32;
-                self.warps.add_outstanding(slot, load, n);
+                self.fetch_lines(slot, load, kernel);
+                self.capture_op(slot, pos, true);
+                self.warps.add_outstanding(slot, load, self.line_buf.len() as u32);
                 self.warps.set_next_ready(slot, cycle + 1 + extra_delay as u64);
                 let pc = kernel.load(load).pc;
                 let hpc = self.load_hpc[load.0 as usize];
@@ -1297,9 +1284,8 @@ impl Sm {
                 }
             }
             InstKind::Store { load } => {
-                let idx = self.warps.next_access_index(slot, load);
-                self.gen_access_lines(slot, load, idx, kernel);
-                self.capture_op(slot, body_pos, true);
+                self.fetch_lines(slot, load, kernel);
+                self.capture_op(slot, pos, true);
                 self.warps.set_next_ready(slot, cycle + 1 + extra_delay as u64);
                 // Write-evict (hit) / write-no-allocate (miss): invalidate L1
                 // copy, notify the policy so victim copies are invalidated
@@ -1329,7 +1315,7 @@ impl Sm {
         }
 
         // Advance the warp past this instruction and retire if finished.
-        self.warps.advance(slot, kernel);
+        self.advance_warp(slot, kernel);
         if self.warps.done(slot) {
             let cta_id = self.warps.cta(slot);
             self.schedulers[(wid.0 % cfg.schedulers_per_sm) as usize].release(wid);
@@ -1339,107 +1325,51 @@ impl Sm {
         }
     }
 
-    /// Trace-mode twin of [`Sm::execute_inst`]: the warp's dynamic
-    /// instruction comes from its stream cursor (`body_pos`), the static
-    /// instruction from the stub body at the op's recorded position, and a
-    /// memory op's coalesced lines from the stream's interned line pool —
-    /// `gen_access_lines` (and the access-index counter feeding it) is never
-    /// consulted. Everything downstream — operand traffic, scoreboard,
-    /// LSU/L1 path, store write-through, retirement — is byte-for-byte the
-    /// synthetic path, so the burst legality checks (which read only the
-    /// packed meta word) and every policy hook keep working unchanged.
-    fn execute_trace_inst(
-        &mut self,
-        wid: WarpId,
-        cycle: Cycle,
-        kernel: &KernelSpec,
-        cfg: &GpuConfig,
-    ) {
-        let rep = self.replay.clone().expect("trace mode");
-        let slot = wid.0 as usize;
-        let stream = &rep.streams[self.warps.stream(slot) as usize];
-        let cursor = self.warps.body_pos(slot) as usize;
-        let op = stream.ops[cursor];
-        let pos = op.pos;
-        let inst = &kernel.body[pos as usize];
-        self.stats.instructions += 1;
-        self.tracer.emit(
-            cycle,
-            TraceEvent::Issue { sm: self.id.0 as u64, warp: wid.0 as u64, pos: pos as u64 },
-        );
+    /// A replayed warp's stream and current op (its `body_pos` is a stream
+    /// cursor); `None` for synthetic warps. Borrows only the two fields it
+    /// reads, so callers can still fill `line_buf`.
+    #[inline]
+    fn trace_op<'a>(
+        replay: &'a Option<Arc<ReplayKernel>>,
+        warps: &WarpSlab,
+        slot: usize,
+    ) -> Option<(&'a WarpStream, TraceOp)> {
+        let stream = &replay.as_deref()?.streams[warps.stream(slot) as usize];
+        Some((stream, stream.ops[warps.body_pos(slot) as usize]))
+    }
 
-        let extra_delay = self.regfile.access_operands(
-            self.warps.op_base(slot),
-            kernel.regs_per_warp().max(1),
-            self.rot3[pos as usize],
-            cycle,
-        );
+    /// Source step 1: the current instruction's static body position.
+    #[inline]
+    fn inst_pos(&self, slot: usize) -> u32 {
+        Self::trace_op(&self.replay, &self.warps, slot)
+            .map_or_else(|| self.warps.body_pos(slot), |(_, op)| op.pos)
+    }
 
-        match inst.kind {
-            InstKind::Alu { latency } => {
-                self.capture_op(slot, pos, false);
-                self.warps.set_next_ready(slot, cycle + latency.max(1) as u64 + extra_delay as u64);
-            }
-            InstKind::Load { load } => {
-                self.line_buf.clear();
-                self.line_buf.extend_from_slice(
-                    &stream.lines[op.line_off as usize..(op.line_off + op.line_len) as usize],
-                );
-                self.capture_op(slot, pos, true);
-                let n = self.line_buf.len() as u32;
-                self.warps.add_outstanding(slot, load, n);
-                self.warps.set_next_ready(slot, cycle + 1 + extra_delay as u64);
-                let pc = kernel.load(load).pc;
-                let hpc = self.load_hpc[load.0 as usize];
-                let gen = self.warps.generation(slot);
-                for &line in &self.line_buf {
-                    if cfg.detailed_load_stats {
-                        self.stats.record_line_touch(load, line.0);
-                    }
-                    self.lsu_queue.push_back(LsuReq { warp: wid.0, gen, load, pc, hpc, line });
-                }
-            }
-            InstKind::Store { load } => {
-                self.line_buf.clear();
-                self.line_buf.extend_from_slice(
-                    &stream.lines[op.line_off as usize..(op.line_off + op.line_len) as usize],
-                );
-                self.capture_op(slot, pos, true);
-                self.warps.set_next_ready(slot, cycle + 1 + extra_delay as u64);
-                for i in 0..self.line_buf.len() {
-                    let line = self.line_buf[i];
-                    self.stats.stores += 1;
-                    self.stores_in_flight += 1;
-                    self.l1.invalidate(line);
-                    let mut ctx = PolicyCtx {
-                        cycle,
-                        sm: self.id,
-                        regfile: &mut self.regfile,
-                        stats: &mut self.stats,
-                    };
-                    self.policy.on_store(line, &mut ctx);
-                    self.outbox.push(MemReq {
-                        sm: self.id,
-                        warp: wid.0,
-                        gen: 0,
-                        load,
-                        line,
-                        kind: MemReqKind::Store,
-                    });
-                }
-            }
+    /// Source step 2: fills `line_buf` with the current access's coalesced
+    /// lines — generated from `load`'s pattern, or the op's recorded slice.
+    #[inline]
+    fn fetch_lines(&mut self, slot: usize, load: LoadId, kernel: &KernelSpec) {
+        if let Some((stream, op)) = Self::trace_op(&self.replay, &self.warps, slot) {
+            let lines = &stream.lines[op.line_off as usize..(op.line_off + op.line_len) as usize];
+            self.line_buf.clear();
+            self.line_buf.extend_from_slice(lines);
+        } else {
+            let idx = self.warps.next_access_index(slot, load);
+            self.gen_access_lines(slot, load, idx, kernel);
         }
+    }
 
-        // Advance the stream cursor; the warp retires at stream end.
-        let next_meta = stream.ops.get(cursor + 1).map(|o| WarpSlab::inst_meta_at(kernel, o.pos));
-        self.warps.advance_trace(slot, next_meta);
-        if self.warps.done(slot) {
-            let cta_id = self.warps.cta(slot);
-            self.schedulers[(wid.0 % cfg.schedulers_per_sm) as usize].release(wid);
-            let cta = self.ctas[cta_id.0 as usize].as_mut().expect("CTA exists");
-            cta.warps_done += 1;
-            self.reap_pending = true;
-        }
+    /// Source step 3: moves the warp to its next body position (wrapping
+    /// loop iterations) or stream op, retiring it after the last. A
+    /// stream's length *is* its trip count: replay ignores `iterations`.
+    #[inline]
+    fn advance_warp(&mut self, slot: usize, kernel: &KernelSpec) {
+        let Some(rep) = self.replay.as_deref() else {
+            return self.warps.advance(slot, kernel);
+        };
+        let ops = &rep.streams[self.warps.stream(slot) as usize].ops;
+        let next = ops.get(self.warps.body_pos(slot) as usize + 1);
+        self.warps.advance_trace(slot, next.map(|o| WarpSlab::inst_meta(kernel, o.pos)));
     }
 
     /// Appends the instruction just executed to its warp's capture stream
@@ -1462,9 +1392,9 @@ impl Sm {
     }
 
     /// Generates the coalesced line addresses of one dynamic access of
-    /// `load` into `line_buf` — the single entry point shared by the Load
-    /// and Store arms of [`Sm::execute_inst`], so the cached and uncached
-    /// paths cannot drift.
+    /// `load` into `line_buf` — the synthetic half of [`Sm::fetch_lines`],
+    /// shared by the Load and Store arms of [`Sm::execute_inst`], so the
+    /// cached and uncached paths cannot drift.
     ///
     /// With the descriptor cache enabled, the first execution of a
     /// (warp slot, load) pair decodes the pattern's per-warp constants into
@@ -1992,8 +1922,48 @@ mod tests {
         assert!(sm.stats.mem_accesses() > 0);
     }
 
+    /// `classify` is the issue scan's only eligibility predicate: the
+    /// scoreboard, the outstanding-load cap, the latency timer and
+    /// retirement each gate a warp.
+    #[test]
+    fn classify_gates_scoreboard_cap_latency_and_retirement() {
+        let cfg = small_cfg();
+        let k = KernelBuilder::new("k")
+            .grid(1, 1)
+            .load_then_use(AccessPattern::streaming(128), 0)
+            .alu(2)
+            .iterations(1)
+            .build()
+            .unwrap();
+        let mut sm = sm();
+        assert!(sm.try_launch_cta(&k, &cfg));
+        let cap = cfg.max_outstanding_per_warp;
+        // body[0] is the load: LSU back-pressure and the cap gate it.
+        assert_eq!(sm.classify(0, 0, &cfg, false), WarpClass::Eligible);
+        assert_eq!(sm.classify(0, 0, &cfg, true), WarpClass::GatedLsu);
+        sm.warps.add_outstanding(0, LoadId(0), cap);
+        assert_eq!(sm.classify(0, 0, &cfg, false), WarpClass::Blocked);
+        // body[1] consumes the load: blocked until every line completes.
+        sm.warps.advance(0, &k);
+        assert_eq!(sm.classify(0, 0, &cfg, false), WarpClass::Blocked);
+        for _ in 0..cap {
+            sm.warps.complete_one(0, LoadId(0));
+        }
+        assert_eq!(sm.classify(0, 0, &cfg, false), WarpClass::Eligible);
+        // The latency timer parks the warp until `next_ready`.
+        sm.warps.set_next_ready(0, 10);
+        assert_eq!(sm.classify(0, 9, &cfg, false), WarpClass::TimeNear(10));
+        assert_eq!(sm.classify(0, 10, &cfg, false), WarpClass::Eligible);
+        // A retired warp never issues.
+        sm.warps.advance(0, &k);
+        sm.warps.advance(0, &k);
+        assert!(sm.warps.done(0));
+        assert_eq!(sm.classify(0, 10, &cfg, false), WarpClass::Blocked);
+    }
+
     /// The descriptor cache must be a pure speed knob: identical counters
-    /// with it on (default) and off, hits recorded only when enabled.
+    /// with it on (default) and off (a cap of 0 entries), hits recorded
+    /// only when enabled.
     #[test]
     fn desc_cache_is_output_invariant() {
         let run = |cfg: GpuConfig| {
@@ -2013,7 +1983,9 @@ mod tests {
             sm.stats
         };
         let on = run(small_cfg());
-        let off = run(small_cfg().with_desc_cache(false));
+        let mut uncached = small_cfg();
+        uncached.desc_cache_max_entries = 0;
+        let off = run(uncached);
         assert_eq!(on.instructions, off.instructions);
         assert_eq!(on.l1_hits, off.l1_hits);
         assert_eq!(on.miss_cold, off.miss_cold);

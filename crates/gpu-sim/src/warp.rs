@@ -125,8 +125,10 @@ impl WarpSlab {
         self.access_index = vec![0; cells];
     }
 
-    /// Packed `META_*` bits describing the instruction at `pos`.
-    fn inst_meta(kernel: &KernelSpec, pos: u32) -> u32 {
+    /// Packed `META_*` bits describing the instruction at body position
+    /// `pos` (a synthetic warp's `body_pos`, a replayed warp's current
+    /// trace op's position).
+    pub fn inst_meta(kernel: &KernelSpec, pos: u32) -> u32 {
         let inst = &kernel.body[pos as usize];
         let mut m = match inst.kind {
             InstKind::Load { .. } => META_LOAD,
@@ -140,16 +142,13 @@ impl WarpSlab {
         m
     }
 
-    /// Public view of [`WarpSlab::inst_meta`] for the trace frontend: the
-    /// replay path advances by stream cursor, so the SM computes the next
-    /// instruction's meta bits from the *trace op's* body position instead
-    /// of the warp's own (which is the cursor, not a body index).
-    pub(crate) fn inst_meta_at(kernel: &KernelSpec, pos: u32) -> u32 {
-        Self::inst_meta(kernel, pos)
-    }
-
     /// Launches a warp into `slot`, resetting every column of the row. A
     /// freshly-launched CTA is `Active`, so the slot starts CTA-schedulable.
+    /// `stream` is the warp's grid-wide replay/capture stream id and
+    /// `first_meta` the [`WarpSlab::inst_meta`] of its first instruction
+    /// (body position 0, or a replayed stream's first op); `body_pos` starts
+    /// at 0 either way — a body index or a stream cursor.
+    #[allow(clippy::too_many_arguments)]
     pub fn launch(
         &mut self,
         slot: usize,
@@ -157,34 +156,7 @@ impl WarpSlab {
         global_warp: u64,
         age: u64,
         op_base: u32,
-        kernel: &KernelSpec,
-    ) {
-        self.launch_inner(slot, cta, global_warp, age, op_base, Self::inst_meta(kernel, 0));
-    }
-
-    /// Launches a warp in trace-replay mode: identical to [`WarpSlab::launch`]
-    /// except the first instruction's meta bits come from the warp's trace
-    /// stream (its first op's body position) rather than body position 0,
-    /// and `body_pos` starts as a stream cursor.
-    pub fn launch_trace(
-        &mut self,
-        slot: usize,
-        cta: CtaId,
-        global_warp: u64,
-        age: u64,
-        op_base: u32,
-        first_meta: u32,
-    ) {
-        self.launch_inner(slot, cta, global_warp, age, op_base, first_meta);
-    }
-
-    fn launch_inner(
-        &mut self,
-        slot: usize,
-        cta: CtaId,
-        global_warp: u64,
-        age: u64,
-        op_base: u32,
+        stream: u32,
         first_meta: u32,
     ) {
         debug_assert!(!self.occupied[slot], "launch into an occupied slot");
@@ -198,6 +170,7 @@ impl WarpSlab {
         self.next_ready[slot] = 0;
         self.total_outstanding[slot] = 0;
         self.op_base[slot] = op_base;
+        self.stream[slot] = stream;
         self.meta[slot] = META_READY | first_meta;
         let lo = slot * self.n_loads;
         self.outstanding[lo..lo + self.n_loads].fill(0);
@@ -208,13 +181,6 @@ impl WarpSlab {
     #[inline]
     pub fn stream(&self, slot: usize) -> u32 {
         self.stream[slot]
-    }
-
-    /// Assigns the replay/capture stream id of the warp in `slot` (set at
-    /// launch by the trace frontend).
-    #[inline]
-    pub fn set_stream(&mut self, slot: usize, id: u32) {
-        self.stream[slot] = id;
     }
 
     /// Frees `slot` at CTA reap; the row is re-zeroed by the next launch.
@@ -304,32 +270,6 @@ impl WarpSlab {
     #[inline]
     pub fn outstanding(&self, slot: usize, load: LoadId) -> u32 {
         self.outstanding[slot * self.n_loads + load.0 as usize]
-    }
-
-    /// Can the warp in `slot` issue its next instruction at `cycle`?
-    /// (Scheduling eligibility; CTA active state is checked by the caller.)
-    pub fn can_issue(
-        &self,
-        slot: usize,
-        kernel: &KernelSpec,
-        cycle: Cycle,
-        max_outstanding: u32,
-    ) -> bool {
-        if self.done[slot] || self.next_ready[slot] > cycle {
-            return false;
-        }
-        let inst = &kernel.body[self.body_pos[slot] as usize];
-        if let Some(dep) = inst.wait_for {
-            if self.outstanding[slot * self.n_loads + dep.0 as usize] > 0 {
-                return false;
-            }
-        }
-        if matches!(inst.kind, crate::kernel::InstKind::Load { .. })
-            && self.total_outstanding[slot] >= max_outstanding
-        {
-            return false;
-        }
-        true
     }
 
     /// Advances the warp in `slot` past its current instruction, wrapping
@@ -431,7 +371,7 @@ mod tests {
     fn slab(k: &KernelSpec) -> WarpSlab {
         let mut s = WarpSlab::new(4);
         s.ensure_loads(k.loads.len());
-        s.launch(0, CtaId(0), 0, 0, 0, k);
+        s.launch(0, CtaId(0), 0, 0, 0, 0, WarpSlab::inst_meta(k, 0));
         s
     }
 
@@ -452,38 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn scoreboard_blocks_consumer() {
-        let k = kernel();
-        let mut w = slab(&k);
-        // Execute the load (inst 0) and leave it outstanding.
-        w.add_outstanding(0, LoadId(0), 1);
-        w.advance(0, &k);
-        // Inst 1 is the consumer with wait_for = load 0.
-        assert!(!w.can_issue(0, &k, 100, 8));
-        w.complete_one(0, LoadId(0));
-        assert!(w.can_issue(0, &k, 100, 8));
-    }
-
-    #[test]
-    fn outstanding_cap_blocks_loads() {
-        let k = kernel();
-        let mut w = slab(&k);
-        w.add_outstanding(0, LoadId(0), 6);
-        // body_pos 0 is a load; cap of 6 reached.
-        assert!(!w.can_issue(0, &k, 0, 6));
-        assert!(w.can_issue(0, &k, 0, 7));
-    }
-
-    #[test]
-    fn next_ready_gates_issue() {
-        let k = kernel();
-        let mut w = slab(&k);
-        w.set_next_ready(0, 10);
-        assert!(!w.can_issue(0, &k, 9, 8));
-        assert!(w.can_issue(0, &k, 10, 8));
-    }
-
-    #[test]
     fn access_index_increments() {
         let k = KernelBuilder::new("k2")
             .grid(1, 1)
@@ -493,18 +401,10 @@ mod tests {
             .unwrap();
         let mut w = WarpSlab::new(2);
         w.ensure_loads(2);
-        w.launch(0, CtaId(0), 0, 0, 0, &k);
+        w.launch(0, CtaId(0), 0, 0, 0, 0, WarpSlab::inst_meta(&k, 0));
         assert_eq!(w.next_access_index(0, LoadId(0)), 0);
         assert_eq!(w.next_access_index(0, LoadId(0)), 1);
         assert_eq!(w.next_access_index(0, LoadId(1)), 0);
-    }
-
-    #[test]
-    fn done_warp_cannot_issue() {
-        let k = kernel();
-        let mut w = slab(&k);
-        w.done[0] = true;
-        assert!(!w.can_issue(0, &k, 0, 8));
     }
 
     /// Slot reuse must behave like a freshly-constructed warp: launch,
@@ -519,12 +419,13 @@ mod tests {
         w.set_next_ready(0, 500);
         w.free(0);
         assert!(!w.is_occupied(0));
-        w.launch(0, CtaId(1), 77, 9, 24, &k);
+        w.launch(0, CtaId(1), 77, 9, 24, 5, WarpSlab::inst_meta(&k, 0));
         assert!(w.is_occupied(0));
         assert_eq!(w.cta(0), CtaId(1));
         assert_eq!(w.global_warp(0), 77);
         assert_eq!(w.age(0), 9);
         assert_eq!(w.op_base(0), 24);
+        assert_eq!(w.stream(0), 5);
         assert_eq!(w.body_pos(0), 0);
         assert_eq!(w.next_ready(0), 0);
         assert_eq!(w.total_outstanding(0), 0);

@@ -82,7 +82,9 @@ fn run(n_sms: u32, factory: &PolicyFactory<'_>) -> String {
 /// Like [`run`] but with the decoded access-descriptor cache disabled:
 /// every access goes through the original `gen_lines` path.
 fn run_uncached(n_sms: u32, factory: &PolicyFactory<'_>) -> String {
-    let s = run_kernel(config(n_sms).with_desc_cache(false), kernel(n_sms), factory);
+    let mut cfg = config(n_sms);
+    cfg.desc_cache_max_entries = 0;
+    let s = run_kernel(cfg, kernel(n_sms), factory);
     assert_eq!(s.events.desc_hits, 0, "disabled cache must record no hits");
     assert_eq!(s.events.desc_misses, 0, "disabled cache must record no decodes");
     digest(&s)
@@ -185,7 +187,9 @@ fn slot_reuse_after_cta_reap_is_cache_invariant() {
     };
     let cached_a = run_kernel(config(2), oversub(), &baseline_factory());
     let cached_b = run_kernel(config(2), oversub(), &baseline_factory());
-    let uncached = run_kernel(config(2).with_desc_cache(false), oversub(), &baseline_factory());
+    let mut uncached_cfg = config(2);
+    uncached_cfg.desc_cache_max_entries = 0;
+    let uncached = run_kernel(uncached_cfg, oversub(), &baseline_factory());
     assert!(cached_a.completed, "oversubscribed grid must drain");
     assert_eq!(digest(&cached_a), digest(&cached_b), "slot reuse must be deterministic");
     assert_eq!(digest(&cached_a), digest(&uncached), "slot reuse must be cache-invariant");
@@ -203,7 +207,10 @@ fn slot_reuse_after_cta_reap_is_cache_invariant() {
 #[test]
 fn completion_ring_overflow_path_is_exact() {
     let slow_l1 = |cached: bool| {
-        let mut cfg = config(2).with_desc_cache(cached);
+        let mut cfg = config(2);
+        if !cached {
+            cfg.desc_cache_max_entries = 0;
+        }
         cfg.l1_hit_latency = 100;
         run_kernel(cfg, kernel(2), &baseline_factory())
     };

@@ -316,6 +316,12 @@ pub fn decode(buf: &[u8]) -> Result<ReplayKernel, ReplayError> {
     if n_streams != expected {
         return Err(ReplayError::StreamCountMismatch { expected, found: n_streams });
     }
+    // Both factors of the count come from the input: a stream spends at
+    // least two bytes (its line and op counts), so a count the remaining
+    // bytes cannot hold is truncation, rejected before it sizes a `Vec`.
+    if n_streams > (buf.len() - pos) as u64 / 2 {
+        return Err(ReplayError::UnexpectedEof { at: pos });
+    }
     let mut streams = Vec::with_capacity(n_streams as usize);
     for _ in 0..n_streams {
         let n_lines = get_uvarint(buf, &mut pos)?;
@@ -473,6 +479,24 @@ mod tests {
         match decode(&bytes) {
             Err(ReplayError::StreamCountMismatch { expected: 2, found: 1 }) => {}
             other => panic!("expected StreamCountMismatch, got {other:?}"),
+        }
+    }
+
+    /// A 26-byte file declaring a 2^20 x 2^12 grid (and as many streams)
+    /// used to size a 206 GB stream vector and abort the process.
+    #[test]
+    fn stream_count_beyond_input_rejected() {
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(VERSION);
+        bytes.extend_from_slice(&[1, b'k']); // name
+        bytes.extend_from_slice(&[0x80, 0x80, 0x40, 0x80, 0x20]); // grid 2^20 x 2^12
+        bytes.extend_from_slice(&[1, 0, 1]); // regs, shared memory, iterations
+        bytes.extend_from_slice(&[0, 1, 0, 0, 1, 0]); // no loads; body: one ALU
+        bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]); // 2^32 streams
+        assert_eq!(bytes.len(), 26);
+        match decode(&bytes) {
+            Err(ReplayError::UnexpectedEof { .. }) => {}
+            other => panic!("expected UnexpectedEof, got {other:?}"),
         }
     }
 

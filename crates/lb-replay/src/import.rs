@@ -58,6 +58,10 @@ use crate::format::{ReplayError, MAX_LINES_PER_RECORD};
 /// Lanes per warp assumed by the importer (Accel-Sim masks are 32-bit).
 const WARP_LANES: u32 = 32;
 
+/// Most threads a CUDA thread block can hold; a larger `-block dim` is
+/// rejected before it sizes the per-block stream table.
+const MAX_BLOCK_THREADS: u64 = 1024;
+
 /// Coarse issue-latency model for non-memory SASS opcodes: transcendental
 /// SFU ops and double-precision run long, fused integer/float pipes take
 /// two cycles, everything else single-issues. Replay timing fidelity comes
@@ -123,7 +127,9 @@ fn parse_inst_line(line: &str, line_no: usize) -> Result<RawInst, ReplayError> {
     let n_dest: usize = next("dest count")?
         .parse()
         .map_err(|_| malformed(line_no, "dest count is not a number"))?;
-    let mut dests = Vec::with_capacity(n_dest);
+    // Counts come from the text: capacity is capped by the tokens left, and
+    // a count beyond them fails on the first missing register.
+    let mut dests = Vec::with_capacity(n_dest.min(toks.len()));
     for _ in 0..n_dest {
         if let Some(r) = parse_reg(next("dest register")?) {
             dests.push(r);
@@ -132,7 +138,7 @@ fn parse_inst_line(line: &str, line_no: usize) -> Result<RawInst, ReplayError> {
     let opcode = next("opcode")?.to_string();
     let n_src: usize =
         next("src count")?.parse().map_err(|_| malformed(line_no, "src count is not a number"))?;
-    let mut srcs = Vec::with_capacity(n_src);
+    let mut srcs = Vec::with_capacity(n_src.min(toks.len()));
     for _ in 0..n_src {
         if let Some(r) = parse_reg(next("src register")?) {
             srcs.push(r);
@@ -213,9 +219,15 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
                         );
                     }
                     "block dim" => {
-                        block_threads = Some(
-                            parse_dim3(value).ok_or_else(|| malformed(line_no, "bad block dim"))?,
-                        );
+                        let threads =
+                            parse_dim3(value).ok_or_else(|| malformed(line_no, "bad block dim"))?;
+                        if threads > MAX_BLOCK_THREADS {
+                            return Err(malformed(
+                                line_no,
+                                format!("block dim {threads} exceeds {MAX_BLOCK_THREADS} threads"),
+                            ));
+                        }
+                        block_threads = Some(threads);
                     }
                     "nregs" => {
                         nregs = value.parse().map_err(|_| malformed(line_no, "bad nregs"))?;
@@ -231,9 +243,7 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
         if line == "#BEGIN_TB" {
             let threads =
                 block_threads.ok_or_else(|| malformed(line_no, "#BEGIN_TB before block dim"))?;
-            warps_per_cta = u32::try_from(threads.div_ceil(u64::from(WARP_LANES)))
-                .map_err(|_| malformed(line_no, "block dim exceeds u32 warps"))?
-                .max(1);
+            warps_per_cta = threads.div_ceil(u64::from(WARP_LANES)).max(1) as u32;
             cta += 1;
             streams.resize((cta as usize + 1) * warps_per_cta as usize, WarpStream::default());
             cur_stream = None;
@@ -422,6 +432,38 @@ mod tests {
         let bad = sample_trace().replace("(2,1,1)", "(3,1,1)");
         match import_str(&bad) {
             Err(ReplayError::Malformed(msg)) => assert!(msg.contains("thread blocks")),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    /// A register count parsed from the text used to size its `Vec` up
+    /// front: this line asked for a 40 GB allocation and aborted.
+    #[test]
+    fn huge_register_count_rejected() {
+        match parse_inst_line("0000 ffffffff 10000000000 R1 LDG 0 0", 1) {
+            Err(ReplayError::Malformed(msg)) => assert!(msg.contains("missing"), "{msg}"),
+            other => panic!("expected Malformed, got {:?}", other.map(|i| i.pc)),
+        }
+        match parse_inst_line("0000 ffffffff 0 LDG 10000000000 R1 0", 1) {
+            Err(ReplayError::Malformed(msg)) => assert!(msg.contains("missing"), "{msg}"),
+            other => panic!("expected Malformed, got {:?}", other.map(|i| i.pc)),
+        }
+    }
+
+    /// A 10^9-thread block used to size 125 M streams (about 6 GB) at the
+    /// first `#BEGIN_TB`, before the empty body failed.
+    #[test]
+    fn oversized_block_dim_rejected() {
+        let t = "-grid dim = (1,1,1)\n-block dim = (1000000000,4,1)\n#BEGIN_TB\n";
+        match import_str(t) {
+            Err(ReplayError::Malformed(msg)) => assert!(msg.contains("exceeds 1024"), "{msg}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        // 1024 threads is legal: this file fails later, on its 30 warps
+        // without instructions.
+        let max = sample_trace().replace("(64,1,1)", "(1024,1,1)");
+        match import_str(&max) {
+            Err(ReplayError::Malformed(msg)) => assert!(!msg.contains("exceeds"), "{msg}"),
             other => panic!("expected Malformed, got {other:?}"),
         }
     }
